@@ -56,9 +56,9 @@ from repro.utils import (
 
 __all__ = ["BaseEvaluationSampler"]
 
-#: Version stamp of the sampler snapshot layout.  Version 2 records the
-#: target measure spec; version-1 (alpha-only) snapshots still load.
-STATE_FORMAT_VERSION = 2
+#: Version stamp of the sampler snapshot layout.  Version 3 packs the
+#: histories into arrays; v2 (measure spec) and v1 (alpha-only) still load.
+STATE_FORMAT_VERSION = 3
 
 
 class BaseEvaluationSampler(abc.ABC):
@@ -223,8 +223,8 @@ class BaseEvaluationSampler(abc.ABC):
                 raise ValueError(f"oracle returned non-binary label {bad}")
             new_mask[unknown_pos[first_pos]] = True
             self._label_cache[fresh] = fresh_labels
-            for index, label in zip(fresh.tolist(), fresh_labels.tolist()):
-                self.queried_labels[index] = int(label)
+            self.queried_labels.update(
+                zip(fresh.tolist(), fresh_labels.tolist()))
         labels = self._label_cache[indices].astype(np.int64)
         return labels, new_mask
 
@@ -268,6 +268,21 @@ class BaseEvaluationSampler(abc.ABC):
         looping :meth:`_step`.
         """
         raise NotImplementedError
+
+    def _record_draw(self, index: int, estimate: float) -> None:
+        """Append one sequential draw to the per-draw histories."""
+        self.sampled_indices.append(index)
+        self.history.append(estimate)
+        self.budget_history.append(self.labels_consumed)
+
+    def _record_batch(self, indices, new_mask, trajectory=None) -> None:
+        """Append a committed batch (and its estimates, if given)."""
+        self.sampled_indices.extend(indices.tolist())
+        if trajectory is not None:
+            self.history.extend(trajectory.tolist())
+        consumed = self.labels_consumed
+        budgets = consumed - int(new_mask.sum()) + np.cumsum(new_mask)
+        self.budget_history.extend(budgets.tolist())
 
     def _commit_batch(self, context, labels, new_mask) -> None:
         """Commit phase of one batched iteration: fold the labels in.
@@ -436,9 +451,9 @@ class BaseEvaluationSampler(abc.ABC):
             "rng": rng_state_dict(self.rng),
             "queried_indices": indices,
             "queried_label_values": labels,
-            "history": list(self.history),
-            "budget_history": list(self.budget_history),
-            "sampled_indices": list(self.sampled_indices),
+            "history": np.array(self.history, dtype=np.float64),
+            "budget_history": np.array(self.budget_history, dtype=np.int64),
+            "sampled_indices": np.array(self.sampled_indices, dtype=np.int64),
         }
         state.update(self._extra_state())
         return state
@@ -452,7 +467,7 @@ class BaseEvaluationSampler(abc.ABC):
         :func:`repro.service.codec.decode_state`.
         """
         version = state.get("format_version")
-        if version not in (1, STATE_FORMAT_VERSION):
+        if version not in (1, 2, STATE_FORMAT_VERSION):
             raise ValueError(f"unsupported sampler state version {version!r}")
         if state.get("class") != type(self).__name__:
             raise ValueError(
@@ -486,7 +501,7 @@ class BaseEvaluationSampler(abc.ABC):
         self._label_cache = np.full(self.n_items, -1, dtype=np.int8)
         if indices.size:
             self._label_cache[indices] = labels.astype(np.int8)
-        self.history = [float(v) for v in state["history"]]
-        self.budget_history = [int(v) for v in state["budget_history"]]
-        self.sampled_indices = [int(v) for v in state["sampled_indices"]]
+        self.history = np.asarray(state["history"], float).tolist()
+        self.budget_history = np.asarray(state["budget_history"], int).tolist()
+        self.sampled_indices = np.asarray(state["sampled_indices"], int).tolist()
         self._load_extra_state(state)

@@ -40,6 +40,16 @@ __all__ = [
     "sample_measure_history",
 ]
 
+# Binary observations fall into four cells c = 2 l + lhat (TN, FP, FN,
+# TP).  Within a cell an observation's delta-method influence is linear
+# in its weight, so (count, sum w, sum w^2) per cell suffice for the
+# variance and the ESS.  _CELL_MASS maps c to the (TP, FP, FN, TN) mass
+# axis; row c of _CELL_MOMENTS is the moment vector (l lhat, lhat, l, 1).
+_CELL_MASS = np.array([3, 1, 2, 0])
+_CELL_MOMENTS = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0],
+                          [0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]])
+_NOT_BINARY = "tracked observations need binary labels and predictions"
+
 
 class AISEstimator:
     """Online ratio-of-sums estimator for any ratio measure.
@@ -54,9 +64,10 @@ class AISEstimator:
         The target :class:`~repro.measures.ratio.RatioMeasure` (or a
         kind name / spec dict); defaults to ``FMeasure(0.5)``.
     track_observations:
-        Keep the per-observation (weight, label, prediction) triples so
-        delta-method confidence intervals can be computed on demand
-        (:meth:`confidence_interval`).  Costs three floats per update.
+        Keep count, sum w and sum w^2 per (label, prediction) cell so
+        delta-method confidence intervals (:meth:`confidence_interval`)
+        and the weight ESS can be computed on demand in closed form.
+        Costs 12 floats total; labels and predictions must be binary.
     """
 
     def __init__(self, alpha: float | None = None, *, measure=None,
@@ -68,7 +79,7 @@ class AISEstimator:
         self._weighted_true = 0.0  # sum w * l
         self._weighted_count = 0.0  # sum w
         self.n_observations = 0
-        self._observations: list[tuple[float, float, float]] = []
+        self._cells = [[0.0, 0.0, 0.0] for _ in range(4)]
 
     @property
     def alpha(self):
@@ -79,15 +90,20 @@ class AISEstimator:
         """Fold in one observation (l_t, lhat_t) with weight w_t."""
         if weight < 0:
             raise ValueError(f"weight must be non-negative; got {weight}")
-        label = float(label)
-        prediction = float(prediction)
+        # Plain floats: the same bits as NumPy scalars, cheaper per draw.
+        weight, label, prediction = float(weight), float(label), float(prediction)
+        if self.track_observations:
+            if label not in (0.0, 1.0) or prediction not in (0.0, 1.0):
+                raise ValueError(_NOT_BINARY)
+            cell = self._cells[int(2.0 * label + prediction)]
+            cell[0] += 1.0
+            cell[1] += weight
+            cell[2] += weight * weight
         self._weighted_tp += weight * label * prediction
         self._weighted_pred += weight * prediction
         self._weighted_true += weight * label
         self._weighted_count += weight
         self.n_observations += 1
-        if self.track_observations:
-            self._observations.append((weight, label, prediction))
 
     def update_batch(self, labels, predictions, weights=None) -> np.ndarray:
         """Fold in a batch of observations with one vectorised update.
@@ -124,6 +140,8 @@ class AISEstimator:
                 raise ValueError("weights must be non-negative")
         if len(labels) == 0:
             return np.zeros(0)
+        if self.track_observations:
+            self._fold_cells(labels, predictions, weights)
 
         # Cumulate with the running sum as the first term so additions
         # happen in exactly the sequential left-to-right order — the
@@ -147,11 +165,21 @@ class AISEstimator:
         self._weighted_true = float(true_cum[-1])
         self._weighted_count = float(count_cum[-1])
         self.n_observations += len(labels)
-        if self.track_observations:
-            self._observations.extend(
-                zip(weights.tolist(), labels.tolist(), predictions.tolist())
-            )
         return trajectory
+
+    def _fold_cells(self, labels, predictions, weights) -> None:
+        """Add a batch of observations to the per-cell variance sums."""
+        if not (np.isin(labels, (0.0, 1.0)).all()
+                and np.isin(predictions, (0.0, 1.0)).all()):
+            raise ValueError(_NOT_BINARY)
+        cells = (2.0 * labels + predictions).astype(np.intp)
+        sums = np.column_stack([np.bincount(cells, minlength=4),
+                                np.bincount(cells, weights, 4),
+                                np.bincount(cells, weights * weights, 4)])
+        for cell, (count, total, square) in zip(self._cells, sums.tolist()):
+            cell[0] += count
+            cell[1] += total
+            cell[2] += square
 
     def measure_value(self, measure=None) -> float:
         """Evaluate any ratio measure at the current moment sums.
@@ -210,10 +238,11 @@ class AISEstimator:
         means) the first-order expansion gives
         ``Var(G) ~ mean[(w (g_num - G g_den))^2] / (T B^2)``; for
         non-linear measures the full gradient form
-        ``mean[(grad . (w x - s))^2] / T`` is used.  Requires
-        ``track_observations=True``; returns NaN while the estimate is
-        undefined or the measure's denominator mass is zero (degenerate
-        pools never raise).
+        ``mean[(grad . (w x - s))^2] / T`` is used.  Within a cell c the
+        influence is ``w r_c`` or ``w a_c - mu``, so both are exact
+        closed forms of the cell sums.  Requires ``track_observations=True``;
+        returns NaN while the estimate is undefined or the measure's
+        denominator mass is zero (degenerate pools never raise).
         """
         if not self.track_observations:
             raise RuntimeError(
@@ -221,27 +250,31 @@ class AISEstimator:
             )
         measure = self._resolve(alpha, measure)
         g_hat = self.measure_value(measure)
-        if np.isnan(g_hat) or self.n_observations == 0:
+        count, total, square = np.array(self._cells).T
+        logged = float(count.sum())
+        if np.isnan(g_hat) or logged == 0:
             return float("nan")
-        obs = np.asarray(self._observations)
-        weights, labels, preds = obs[:, 0], obs[:, 1], obs[:, 2]
         t = self.n_observations
         if isinstance(measure, LinearRatioMeasure):
-            g_num, g_den = measure.observation_statistics(labels, preds)
-            b_bar = float(np.sum(weights * g_den)) / t
+            g_num = measure.numerator[_CELL_MASS]
+            g_den = measure.denominator[_CELL_MASS]
+            b_bar = float(g_den @ total) / t
             if b_bar <= 0:
                 return float("nan")
-            influence = weights * (g_num - g_hat * g_den)
-            return float(np.mean(influence**2) / (t * b_bar**2))
-        moments = measure.observation_moments(labels, preds, weights)
-        mean_moments = moments.sum(axis=0) / t
+            residual = g_num - g_hat * g_den
+            return float((residual**2 @ square) / logged / (t * b_bar**2))
+        mean_moments = (total @ _CELL_MOMENTS) / t
         gradient = np.asarray(
             measure.moment_gradient(*mean_moments), dtype=float
         )
         if not np.all(np.isfinite(gradient)):
             return float("nan")
-        influence = moments @ gradient - float(mean_moments @ gradient)
-        return float(np.mean(influence**2) / t)
+        slope = _CELL_MOMENTS @ gradient
+        centre = float(mean_moments @ gradient)
+        # sum_t (w_t a_c - mu)^2, expanded per cell.
+        sum_squares = (slope**2 @ square - 2.0 * centre * (slope @ total)
+                       + centre * centre * logged)
+        return float(max(sum_squares, 0.0) / logged / t)
 
     def confidence_interval(self, level: float = 0.95,
                             alpha: float | None = None, *,
@@ -278,16 +311,10 @@ class AISEstimator:
         """
         if not self.track_observations:
             raise RuntimeError("weight_ess requires track_observations=True")
-        if not self._observations:
-            return 0.0
-        weights = np.asarray(
-            [observation[0] for observation in self._observations],
-            dtype=float)
-        square_sum = float(np.sum(weights**2))
+        _, total, square_sum = np.sum(self._cells, axis=0)
         if square_sum <= 0.0:
             return 0.0
-        total = float(np.sum(weights))
-        return total * total / square_sum
+        return float(total * total / square_sum)
 
     def state(self) -> dict:
         """Snapshot of the running sums (for checkpoint/diagnostics)."""
@@ -306,21 +333,17 @@ class AISEstimator:
         snapshot-restore contract of the serving layer: restoring the
         returned dict into a fresh estimator reproduces every future
         estimate bit for bit, including the delta-method confidence
-        intervals (the tracked observations ride along).
+        intervals (the cell sums ride along).
 
-        Format version 2 records the measure spec and the total-weight
-        moment; version 1 (alpha-only) snapshots are still loadable —
-        see :meth:`load_state_dict`.
+        Format version 3 stores the cell sums as one 4 x 3 ``cells``
+        array, so the snapshot size does not grow with updates; version
+        2 and 1 snapshots still load — see :meth:`load_state_dict`.
         """
         state = dict(self.state())
-        state["format_version"] = 2
+        state["format_version"] = 3
         state["measure"] = self.measure.spec()
         state["track_observations"] = self.track_observations
-        state["observations"] = (
-            np.asarray(self._observations, dtype=float).reshape(-1, 3)
-            if self.track_observations
-            else np.zeros((0, 3))
-        )
+        state["cells"] = np.array(self._cells, dtype=float)
         return state
 
     def _check_measure(self, captured) -> None:
@@ -335,7 +358,7 @@ class AISEstimator:
 
         Version-1 (alpha-only) snapshots migrate transparently: the
         measure is reconstructed as ``FMeasure(alpha)`` and the missing
-        total-weight moment is rebuilt from the tracked observations
+        total-weight moment is rebuilt from the observation log
         when present (by the same sequential accumulation the live
         estimator performed, so the restore stays bit-identical) or
         marked NaN otherwise — in which case measures that need the
@@ -345,7 +368,7 @@ class AISEstimator:
         version = state.get("format_version")
         if version == 1:
             captured = FMeasure(float(state["alpha"]))
-        elif version == 2:
+        elif version in (2, 3):
             captured = measure_from_spec(state["measure"])
         else:
             raise ValueError(f"unsupported estimator state version {version!r}")
@@ -355,17 +378,17 @@ class AISEstimator:
         self._weighted_true = float(state["weighted_true"])
         self.n_observations = int(state["n_observations"])
         self.track_observations = bool(state["track_observations"])
-        observations = np.asarray(state["observations"], dtype=float).reshape(-1, 3)
-        self._observations = [tuple(row) for row in observations.tolist()]
+        log = np.asarray(state.get("observations", ()),
+                         dtype=float).reshape(-1, 3)
+        self._cells = np.asarray(state.get("cells", np.zeros((4, 3))),
+                                 dtype=float).tolist()
+        # Snapshots before v3 carry an observation log instead of cells.
+        self._fold_cells(log[:, 1], log[:, 2], log[:, 0])
         if version >= 2:
             self._weighted_count = float(state["weighted_count"])
-        elif self.track_observations and len(self._observations) == self.n_observations:
-            total = 0.0
-            for row in self._observations:
-                total += row[0]
-            self._weighted_count = total
-        elif self.n_observations == 0:
-            self._weighted_count = 0.0
+        elif len(log) == self.n_observations:
+            # cumsum adds in the live estimator's sequential order.
+            self._weighted_count = float(np.cumsum(np.r_[0.0, log[:, 0]])[-1])
         else:
             self._weighted_count = float("nan")
 
@@ -375,7 +398,7 @@ class AISEstimator:
         self._weighted_true = 0.0
         self._weighted_count = 0.0
         self.n_observations = 0
-        self._observations.clear()
+        self._cells = [[0.0, 0.0, 0.0] for _ in range(4)]
 
 
 def sample_measure_history(labels, predictions, weights=None, *,

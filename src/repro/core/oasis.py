@@ -200,9 +200,7 @@ class OASISSampler(BaseEvaluationSampler):
         if not np.isnan(estimate):
             self._current_estimate = estimate
 
-        self.sampled_indices.append(index)
-        self.history.append(estimate)
-        self.budget_history.append(self.labels_consumed)
+        self._record_draw(index, estimate)
         if self.record_diagnostics:
             # Snapshots must be copies owned by the history: aliasing
             # live model state would let later updates silently rewrite
@@ -251,18 +249,14 @@ class OASISSampler(BaseEvaluationSampler):
         if not np.isnan(estimate):
             self._current_estimate = float(estimate)
 
-        self.sampled_indices.extend(int(i) for i in indices)
-        self.history.extend(trajectory.tolist())
-        consumed = self.labels_consumed
-        budgets = consumed - int(new_mask.sum()) + np.cumsum(new_mask)
-        self.budget_history.extend(int(b) for b in budgets)
+        self._record_batch(indices, new_mask, trajectory)
         if self.record_diagnostics:
             pi = np.array(self.model.posterior_mean(), copy=True)
             v_snapshot = np.array(context["v"], copy=True)
             batch_size = len(indices)
             self.pi_history.extend([pi] * batch_size)
             self.instrumental_history.extend([v_snapshot] * batch_size)
-            self.weight_history.extend(float(w) for w in weights)
+            self.weight_history.extend(weights.tolist())
 
     def _extra_state(self) -> dict:
         state = {
@@ -275,11 +269,9 @@ class OASISSampler(BaseEvaluationSampler):
             "record_diagnostics": self.record_diagnostics,
         }
         if self.record_diagnostics:
-            state["pi_history"] = [np.array(p, copy=True) for p in self.pi_history]
-            state["instrumental_history"] = [
-                np.array(v, copy=True) for v in self.instrumental_history
-            ]
-            state["weight_history"] = list(self.weight_history)
+            state["pi_history"] = np.array(self.pi_history)
+            state["instrumental_history"] = np.array(self.instrumental_history)
+            state["weight_history"] = np.array(self.weight_history)
         return state
 
     def _load_extra_state(self, state: dict) -> None:
@@ -307,7 +299,8 @@ class OASISSampler(BaseEvaluationSampler):
             self.instrumental_history = [
                 np.asarray(v, dtype=float) for v in state["instrumental_history"]
             ]
-            self.weight_history = [float(w) for w in state["weight_history"]]
+            self.weight_history = np.asarray(
+                state["weight_history"], dtype=float).tolist()
         else:
             self.pi_history = []
             self.instrumental_history = []

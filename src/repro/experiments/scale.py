@@ -161,7 +161,8 @@ def run_scale_rung(
             extractor = PairFeatureExtractor(
                 list(_FIELD_SPECS), memory_budget=memory_budget
             )
-            classifier = PlattCalibrator(LinearSVM(random_state=seed))
+            classifier = PlattCalibrator(LinearSVM(random_state=seed),
+                                         random_state=seed)
             pipeline = ERPipeline(
                 extractor,
                 classifier,

@@ -471,26 +471,6 @@ class LinearRatioMeasure(RatioMeasure):
             self._moment_numerator - value * self._moment_denominator
         ) / denominator
 
-    def observation_statistics(self, labels, predictions) -> tuple:
-        """Per-observation unweighted ``(numerator, denominator)`` values.
-
-        The linear-ratio delta-method variance only needs these two
-        scalars per observation (the full gradient contracts to
-        ``(num - G den) / D``); on the F-measure path they evaluate the
-        exact historical expressions ``l * lhat`` and
-        ``alpha * lhat + (1 - alpha) * l``.
-        """
-        labels = np.asarray(labels, dtype=float)
-        predictions = np.asarray(predictions, dtype=float)
-        interaction = labels * predictions
-        ones = np.ones_like(labels)
-        return (
-            _combine(self._moment_numerator, interaction, predictions,
-                     labels, ones),
-            _combine(self._moment_denominator, interaction, predictions,
-                     labels, ones),
-        )
-
     def cell_scores(self, base, predictions, probabilities,
                     estimate: float) -> np.ndarray:
         # The mass gradient of a linear ratio is (c_num - G c_den) / D;
@@ -693,9 +673,12 @@ class WeightedRelativeAccuracy(RatioMeasure):
             return max(low, min(high, value))
         return value
 
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
     def moment_gradient(self, tp, predicted, actual, total) -> np.ndarray:
+        # A NumPy total: if its powers underflow, the result is non-finite
+        # (callers fall back to NaN) instead of a ZeroDivisionError.
         tp, predicted, actual, total = (
-            float(tp), float(predicted), float(actual), float(total)
+            float(tp), float(predicted), float(actual), np.float64(total)
         )
         if total <= 0:
             return np.full(4, np.nan)

@@ -142,9 +142,7 @@ class ImportanceSampler(BaseEvaluationSampler):
         weight = self._uniform[index] / self._instrumental[index]
         self._estimator.update(label, prediction, weight)
 
-        self.sampled_indices.append(index)
-        self.history.append(self._estimator.estimate)
-        self.budget_history.append(self.labels_consumed)
+        self._record_draw(index, self._estimator.estimate)
 
     def _propose_batch(self, batch_size: int) -> dict:
         """Batched categorical draws over the pool.
@@ -166,11 +164,7 @@ class ImportanceSampler(BaseEvaluationSampler):
         weights = self._uniform[indices] / self._instrumental[indices]
         trajectory = self._estimator.update_batch(labels, predictions, weights)
 
-        self.sampled_indices.extend(int(i) for i in indices)
-        self.history.extend(trajectory.tolist())
-        consumed = self.labels_consumed
-        budgets = consumed - int(new_mask.sum()) + np.cumsum(new_mask)
-        self.budget_history.extend(int(b) for b in budgets)
+        self._record_batch(indices, new_mask, trajectory)
 
     def _extra_state(self) -> dict:
         return {"estimator": self._estimator.state_dict()}

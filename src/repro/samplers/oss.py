@@ -140,9 +140,7 @@ class OSSSampler(BaseEvaluationSampler):
         self._sum_true[stratum] += label
         self._sum_tp[stratum] += label * prediction
 
-        self.sampled_indices.append(index)
-        self.history.append(self._stratified_estimate())
-        self.budget_history.append(self.labels_consumed)
+        self._record_draw(index, self._stratified_estimate())
 
     def _propose_batch(self, batch_size: int) -> dict:
         """Batched draws under a Neyman allocation frozen for the block.
@@ -165,10 +163,7 @@ class OSSSampler(BaseEvaluationSampler):
         strata_drawn = context["strata"]
         predictions = self.predictions[indices]
 
-        self.sampled_indices.extend(int(i) for i in indices)
-        consumed = self.labels_consumed
-        budgets = consumed - int(new_mask.sum()) + np.cumsum(new_mask)
-        self.budget_history.extend(int(b) for b in budgets)
+        self._record_batch(indices, new_mask)
         for t in range(len(indices)):
             stratum = strata_drawn[t]
             self._n_sampled[stratum] += 1

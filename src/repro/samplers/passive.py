@@ -55,9 +55,7 @@ class PassiveSampler(BaseEvaluationSampler):
         # Uniform sampling from the uniform target: unit weights.
         self._estimator.update(label, prediction, 1.0)
 
-        self.sampled_indices.append(index)
-        self.history.append(self._estimator.estimate)
-        self.budget_history.append(self.labels_consumed)
+        self._record_draw(index, self._estimator.estimate)
 
     def _propose_batch(self, batch_size: int) -> dict:
         """Batched uniform draws: one RNG call proposes the whole block."""
@@ -70,11 +68,7 @@ class PassiveSampler(BaseEvaluationSampler):
             labels, predictions, np.ones(len(indices))
         )
 
-        self.sampled_indices.extend(int(i) for i in indices)
-        self.history.extend(trajectory.tolist())
-        consumed = self.labels_consumed
-        budgets = consumed - int(new_mask.sum()) + np.cumsum(new_mask)
-        self.budget_history.extend(int(b) for b in budgets)
+        self._record_batch(indices, new_mask, trajectory)
 
     def _extra_state(self) -> dict:
         return {"estimator": self._estimator.state_dict()}

@@ -91,6 +91,19 @@ class SessionManager:
             "Sessions restored from their journal.")
         self._resident_gauge = self.metrics.gauge(
             "oasis_resident_sessions", "Sessions currently in memory.")
+        # Per-session convergence gauges, refreshed at scrape time and
+        # dropped when their session leaves memory (see _forget).
+        self._session_gauges = {
+            name: self.metrics.gauge(f"oasis_session_{name}",
+                                     f"{what}, per resident session.",
+                                     ("session",))
+            for name, what in (
+                ("estimate", "Current point estimate"),
+                ("ci_width", "Width of the 95% confidence interval"),
+                ("labels_consumed", "Distinct labels consumed"),
+                ("weight_ess", "Kish effective sample size of the "
+                               "importance weights"))
+        }
         self._registry_lock = threading.RLock()
         self._sessions: dict[str, EvaluationSession] = {}
         self._last_used: dict[str, float] = {}
@@ -208,8 +221,15 @@ class SessionManager:
         with self._registry_lock:
             session = self.get(session_id)
             session.close()
-            self._sessions.pop(session_id, None)
-            self._last_used.pop(session_id, None)
+            self._forget(session_id)
+
+    def _forget(self, session_id: str):
+        """Drop a session and its gauges (registry lock held); return it."""
+        session = self._sessions.pop(session_id, None)
+        self._last_used.pop(session_id, None)
+        for gauge in self._session_gauges.values():
+            gauge.remove(session=session_id)
+        return session
 
     # -- capacity ----------------------------------------------------------
 
@@ -260,8 +280,7 @@ class SessionManager:
                 # instance must re-fetch through the manager instead of
                 # writing to a journal the restored instance now owns.
                 session.evicted = True
-            self._sessions.pop(session_id, None)
-            self._last_used.pop(session_id, None)
+            self._forget(session_id)
             self._sessions_evicted.inc()
             self._log.info("session_evicted", session=session_id)
 
@@ -278,8 +297,7 @@ class SessionManager:
         durable.  Returns False when the session was not resident.
         """
         with self._registry_lock:
-            session = self._sessions.pop(session_id, None)
-            self._last_used.pop(session_id, None)
+            session = self._forget(session_id)
             if session is None:
                 return False
             session.evicted = True
@@ -303,8 +321,7 @@ class SessionManager:
                 with session._lock:
                     session.checkpoint()
                     session.evicted = True
-                self._sessions.pop(session_id, None)
-                self._last_used.pop(session_id, None)
+                self._forget(session_id)
                 drained.append(session_id)
         return drained
 
@@ -355,24 +372,10 @@ class SessionManager:
 
         Estimator telemetry (current estimate, CI width, labels
         consumed, weight-ESS) is pulled when ``/metrics`` is scraped
-        rather than pushed on every ingest: confidence intervals cost a
-        pass over the observation history, which has no business on the
-        hot path.
+        rather than pushed on every ingest.  It is a closed form of
+        fixed-size estimator sums, so a scrape costs O(resident
+        sessions); a session leaving memory takes its series along.
         """
-        estimate_gauge = self.metrics.gauge(
-            "oasis_session_estimate",
-            "Current point estimate, per resident session.", ("session",))
-        ci_gauge = self.metrics.gauge(
-            "oasis_session_ci_width",
-            "Width of the 95% confidence interval, per resident session.",
-            ("session",))
-        labels_gauge = self.metrics.gauge(
-            "oasis_session_labels_consumed",
-            "Distinct labels consumed, per resident session.", ("session",))
-        ess_gauge = self.metrics.gauge(
-            "oasis_session_weight_ess",
-            "Kish effective sample size of the importance weights, per "
-            "resident session.", ("session",))
         with self._registry_lock:
             sessions = list(self._sessions.values())
             self._resident_gauge.set(len(sessions))
@@ -382,10 +385,9 @@ class SessionManager:
             except Exception:  # a racing close must not fail a scrape
                 continue
             sid = telemetry["session_id"]
-            labels_gauge.set(telemetry["labels_consumed"], session=sid)
-            if telemetry["estimate"] is not None:
-                estimate_gauge.set(telemetry["estimate"], session=sid)
-            if telemetry["ci_width"] is not None:
-                ci_gauge.set(telemetry["ci_width"], session=sid)
-            if telemetry["weight_ess"] is not None:
-                ess_gauge.set(telemetry["weight_ess"], session=sid)
+            with self._registry_lock:
+                if self._sessions.get(sid) is not session:  # left memory
+                    continue
+                for name, gauge in self._session_gauges.items():
+                    if telemetry[name] is not None:
+                        gauge.set(telemetry[name], session=sid)

@@ -677,13 +677,9 @@ class EvaluationSession:
                 if not (np.isnan(low) or np.isnan(high)):
                     out["ci"] = [float(low), float(high)]
                     out["ci_width"] = float(high - low)
-            ess = getattr(getattr(sampler, "_estimator", None),
-                          "weight_ess", None)
-            if callable(ess):
-                try:
-                    out["weight_ess"] = float(ess())
-                except RuntimeError:
-                    pass  # estimator not tracking observations
+            estimator = getattr(sampler, "_estimator", None)
+            if getattr(estimator, "track_observations", False):
+                out["weight_ess"] = float(estimator.weight_ess())
             return out
 
     def history_payload(self) -> dict:

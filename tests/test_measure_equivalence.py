@@ -362,9 +362,8 @@ class TestMeasureConsistency:
         linear = estimator.variance_estimate()
 
         measure = FMeasure(0.3)
-        obs = np.asarray(estimator._observations)
-        moments = measure.observation_moments(obs[:, 1], obs[:, 2], obs[:, 0])
-        t = len(obs)
+        moments = measure.observation_moments(labels, predictions, weights)
+        t = len(labels)
         mean_moments = moments.sum(axis=0) / t
         gradient = measure.moment_gradient(*mean_moments)
         influence = moments @ gradient - float(mean_moments @ gradient)
@@ -400,16 +399,16 @@ class TestMeasureConsistency:
 
 
 def downgrade_sampler_state(state: dict) -> dict:
-    """Rewrite a v2 sampler snapshot into the historical v1 layout."""
+    """Rewrite a v3 sampler snapshot into the historical v1 layout."""
     state = copy.deepcopy(state)
-    assert state["format_version"] == 2
+    assert state["format_version"] == 3
     state["format_version"] = 1
     measure = state.pop("measure")
     assert measure["kind"] == "fmeasure", "v1 only ever stored F targets"
     state["alpha"] = measure["alpha"]
     estimator = state.get("estimator")
     if estimator is not None:
-        assert estimator["format_version"] == 2
+        assert estimator["format_version"] == 3
         estimator["format_version"] = 1
         est_measure = estimator.pop("measure")
         estimator["alpha"] = est_measure["alpha"]

@@ -42,6 +42,7 @@ from repro.service.client import EvaluationClient, ServiceRequestError
 from repro.service.errors import DeadlineExceededError
 from repro.service.faults import truncate_file
 from repro.service.http import make_server
+from repro.service.router import ShardRouter, ShardSupervisor, init_topology
 from repro.utils.metrics import parse_prometheus_text
 
 HEX_ID = re.compile(r"^[0-9a-f]{16}$")
@@ -425,3 +426,106 @@ class TestShardedScrapes:
         assert history["labels_consumed"] > 0
         assert history["budget_history"][-1] == history["labels_consumed"]
         assert history["estimate"] == pytest.approx(history["history"][-1])
+
+
+#: Per-session gauge families; each must carry exactly one series per
+#: resident session.
+SESSION_GAUGES = (
+    "oasis_session_estimate",
+    "oasis_session_ci_width",
+    "oasis_session_labels_consumed",
+    "oasis_session_weight_ess",
+)
+
+
+def gauge_sessions(parsed, family):
+    """Session ids that have a series in one gauge family."""
+    samples = parsed.get(family, {"samples": {}})["samples"]
+    return sorted(dict(labels)["session"] for metric, labels in samples
+                  if metric == family)
+
+
+def resident_sessions(port):
+    status, raw, _ = raw_request(port, "GET", "/sessions")
+    assert status == 200, raw
+    return sorted(entry["session_id"]
+                  for entry in json.loads(raw)["sessions"]
+                  if entry.get("resident"))
+
+
+class TestSessionGaugeLifecycle:
+    """Closed and evicted sessions take their gauge series with them."""
+
+    def test_in_process_close_and_evict_drop_gauges(self, tmp_path):
+        manager = SessionManager(tmp_path / "root")
+        server = make_server(manager, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            port = server.server_address[1]
+            predictions, scores, labels = make_pool(seed=19, n=120)
+            sids = [f"g{index:02d}" for index in range(20)]
+            for index, sid in enumerate(sids):
+                drive(port, sid, labels, rounds=1, batch=10, seed=index,
+                      predictions=predictions, scores=scores)
+            parsed, _, _ = scrape(port)
+            for family in SESSION_GAUGES:
+                assert gauge_sessions(parsed, family) == sids, family
+
+            for sid in sids[:10]:
+                status, raw, _ = raw_request(port, "DELETE",
+                                             f"/sessions/{sid}")
+                assert status == 200, raw
+            manager.evict(sids[10])
+            parsed, _, _ = scrape(port)
+            resident = sids[11:]
+            samples = parsed["oasis_resident_sessions"]["samples"]
+            assert samples[("oasis_resident_sessions", ())] == len(resident)
+            for family in SESSION_GAUGES:
+                assert gauge_sessions(parsed, family) == resident, family
+
+            # A restored session is resident again and reports again.
+            drive(port, sids[10], labels, rounds=1, batch=10)
+            parsed, _, _ = scrape(port)
+            for family in SESSION_GAUGES:
+                assert gauge_sessions(parsed, family) == sids[10:], family
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_sharded_close_and_evict_drop_gauges(self, tmp_path):
+        root = tmp_path / "root"
+        init_topology(root, SHARDS, "json")
+        supervisor = ShardSupervisor(root, SHARDS, options={
+            "capacity": 2, "flush_interval": 0.0}).start()
+        router = ShardRouter(supervisor)
+        server = make_server(router, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            port = server.server_address[1]
+            predictions, scores, labels = make_pool(seed=23, n=120)
+            sids = [f"s{index}" for index in range(8)]
+            for index, sid in enumerate(sids):
+                drive(port, sid, labels, rounds=1, batch=10, seed=index,
+                      predictions=predictions, scores=scores)
+            # Capacity 2 per shard: most of the 8 sessions were evicted
+            # while later ones were created.
+            resident = resident_sessions(port)
+            assert 2 < len(resident) <= 2 * SHARDS, resident
+            parsed, _, _ = scrape(port)
+            for family in SESSION_GAUGES:
+                assert gauge_sessions(parsed, family) == resident, family
+
+            for sid in resident[:2]:
+                status, raw, _ = raw_request(port, "DELETE",
+                                             f"/sessions/{sid}")
+                assert status == 200, raw
+            resident = resident_sessions(port)
+            parsed, _, _ = scrape(port)
+            for family in SESSION_GAUGES:
+                assert gauge_sessions(parsed, family) == resident, family
+        finally:
+            server.shutdown()
+            router.close(graceful=True)
+            server.server_close()
