@@ -177,8 +177,9 @@ def test_observability_overhead(tmp_path):
     scheduler outliers.  The ceiling is ``SERVICE_BENCH_MAX_OBS_OVERHEAD``
     (default 1.05x: ≤5% steady-state overhead on the request path).
 
-    Scraping — the per-session telemetry pass (CI widths cost a walk
-    over each session's observations) plus the Prometheus rendering —
+    Scraping — the per-session telemetry pass (each CI width a closed
+    form of the estimator's fixed-size cell sums) plus the Prometheus
+    rendering —
     is out-of-band work paid per poll, not per request, so it is timed
     separately and reported rather than folded into the hot-path
     ratio: at a realistic cadence (seconds between polls) its

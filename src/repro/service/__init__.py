@@ -19,16 +19,20 @@ Layers, bottom up:
   of sampler state (arrays, RNG bit-generator state, non-finite
   floats); the two are interchangeable on the wire and on disk.
 * :mod:`repro.service.wal` — append-only write-ahead log.
-  :class:`SessionWAL` journals one atomically-written shard per event;
-  :class:`GroupCommitWAL` buffers events and commits a whole batch
-  with a single fsync (plus a directory fsync), amortising durability
-  across concurrent clients.
+  :class:`SessionWAL` journals atomically-written shards: one per event
+  by default, or — with ``max_batch`` above 1 (the
+  :data:`GroupCommitWAL` spelling) — a buffered batch committed with a
+  single fsync plus a directory fsync, amortising durability across
+  concurrent clients.
 * :mod:`repro.service.session` — :class:`EvaluationSession`, the
   batched propose → ingest protocol with journalling and
   kill-anywhere restore.
 * :mod:`repro.service.manager` — :class:`SessionManager`, thread-safe
   session registry with per-session locks, capacity limits and
   idle-session eviction to disk.
+* :mod:`repro.service.protocol` — the request protocol both serving
+  tiers speak: routes, the session-id rule, op execution against a
+  manager, and the exception → HTTP status map.
 * :mod:`repro.service.rpc` / :mod:`repro.service.shard` /
   :mod:`repro.service.router` — the sharded multi-process tier:
   session-owning worker processes with group-commit loops and bounded

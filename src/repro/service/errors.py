@@ -4,10 +4,13 @@ The session, manager and HTTP layers share one exception vocabulary so
 the front-end can translate failures mechanically: every
 :class:`ServiceError` carries the status code its HTTP rendering should
 use, and plain ``ValueError`` / ``KeyError`` from the layers below map
-to 400 / 404 at the handler.
+to 400 / 404 in :func:`repro.service.protocol.error_reply`, the one
+map both serving tiers use.
 """
 
 from __future__ import annotations
+
+import errno
 
 from repro.utils.io import CorruptStateError
 
@@ -20,6 +23,7 @@ __all__ = [
     "StorageFullError",
     "DeadlineExceededError",
     "CorruptStateError",
+    "storage_full",
 ]
 
 
@@ -100,3 +104,10 @@ class DeadlineExceededError(ServiceError):
     """
 
     status = 504
+
+
+def storage_full(exc: BaseException) -> bool:
+    """Whether ``exc`` means the journal volume is out of space."""
+    return isinstance(exc, StorageFullError) or (
+        isinstance(exc, OSError)
+        and exc.errno in (errno.ENOSPC, errno.EDQUOT))

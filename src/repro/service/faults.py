@@ -51,13 +51,12 @@ import socket
 from collections import Counter
 from pathlib import Path
 
-from repro.service.wal import GroupCommitWAL
+from repro.service.wal import SessionWAL
 
 __all__ = [
     "FaultPlan",
     "FaultingWAL",
     "FaultingSocket",
-    "faulting_wal_factory",
     "flip_bits",
     "truncate_file",
 ]
@@ -123,33 +122,24 @@ class FaultPlan:
             os.kill(os.getpid(), signal.SIGKILL)
 
 
-class FaultingWAL(GroupCommitWAL):
+class FaultingWAL(SessionWAL):
     """A group-commit journal whose durability stages can kill the process.
 
-    Behaves exactly like :class:`~repro.service.wal.GroupCommitWAL`
-    (same shards, same flush policy) but routes every internal
-    durability stage through a :class:`FaultPlan` — and keeps the
-    per-stage counters visible for assertions such as "the directory
-    fsync ran once per flush".
+    Behaves exactly like a group-commit
+    :class:`~repro.service.wal.SessionWAL` (same shards, same flush
+    policy; other keyword arguments pass through to it) but routes
+    every internal durability stage through a :class:`FaultPlan` — and
+    keeps the per-stage counters visible for assertions such as "the
+    directory fsync ran once per flush".
     """
 
-    def __init__(self, directory, *, plan: FaultPlan, codec: str = "json",
-                 max_batch: int = 32):
-        super().__init__(directory, codec=codec, max_batch=max_batch)
+    def __init__(self, directory, *, plan: FaultPlan, max_batch: int = 32,
+                 **options):
+        super().__init__(directory, max_batch=max_batch, **options)
         self.plan = plan
 
     def _stage(self, stage: str, **context) -> None:
         self.plan.trip(f"wal:{stage}")
-
-
-def faulting_wal_factory(plan: FaultPlan, *, codec: str = "json",
-                         max_batch: int = 32):
-    """A ``wal_factory`` for :class:`~repro.service.manager.SessionManager`."""
-    def factory(directory):
-        return FaultingWAL(directory, plan=plan, codec=codec,
-                           max_batch=max_batch)
-
-    return factory
 
 
 class FaultingSocket:

@@ -7,71 +7,32 @@ that actually answers requests:
 
 * :class:`LocalDispatcher` drives a
   :class:`~repro.service.manager.SessionManager` in-process: the
-  original single-process deployment, still the default and the
-  simplest thing that can serve a session.
+  single-process deployment, still the default and the simplest thing
+  that can serve a session.
 * :class:`~repro.service.router.ShardRouter` proxies each request to
   the shard worker process owning its session — the fleet-scale
   deployment (``serve --shards N``), with group-commit journalling and
   backpressure.
 
-Both speak the same protocol; clients cannot tell which is behind the
-socket except through ``/healthz``.
-
-Routes (all bodies and responses are JSON):
-
-========  ==============================  =======================================
-Method    Path                            Action
-========  ==============================  =======================================
-GET       ``/healthz``                    liveness + session counts
-GET       ``/sessions``                   list sessions (resident and on-disk)
-POST      ``/sessions``                   create a session
-GET       ``/sessions/{id}``              session status
-POST      ``/sessions/{id}/propose``      propose a batch → pairs to label
-POST      ``/sessions/{id}/ingest``       ingest labels for a ticket
-GET       ``/sessions/{id}/estimate``     current estimate + intervals
-GET       ``/sessions/{id}/history``      estimate/CI trajectory (for reports)
-POST      ``/sessions/{id}/checkpoint``   journal a full snapshot
-DELETE    ``/sessions/{id}``              close (checkpoint + drop from memory)
-GET       ``/metrics``                    Prometheus text exposition
-========  ==============================  =======================================
+Both speak the protocol of :mod:`repro.service.protocol` (routes,
+request bodies, error statuses), so clients cannot tell which is behind
+the socket except through ``/healthz``.
 
 Every response carries an ``X-Request-Id`` header — the value of the
 request's own ``X-Request-Id`` if it sent one (letters, digits,
 ``._-``, at most 64 chars), otherwise a server-generated id.  The id
 rides the router→shard RPC frames and appears in structured log events,
 so one client-reported failure is greppable across every tier.
-
-The create body::
-
-    {"predictions": [...], "scores": [...], "sampler": "oasis",
-     "sampler_kwargs": {"n_strata": 30}, "measure": "recall",
-     "seed": 42, "session_id": "optional-name"}
-
-``measure`` (optional) targets any ratio measure — a kind name or a
-spec dict such as ``{"kind": "fmeasure", "alpha": 0.25}``.  Omitting it
-keeps the historical alpha-parametrised F-measure target (``"alpha"``,
-default 0.5); sending both ``measure`` and ``alpha`` is rejected with
-400, exactly as the library entry points reject the combination.
-
-Errors map mechanically: ``ValueError`` → 400,
-:class:`~repro.service.errors.SessionNotFoundError` → 404,
-:class:`~repro.service.errors.SessionConflictError` → 409,
-:class:`~repro.service.errors.CapacityError` → 503.  A 503 from
-backpressure (:class:`~repro.service.errors.OverloadError`, sharded
-mode) additionally carries ``Retry-After`` with a suggested pause in
-seconds; clients should back off that long and resend the identical
-request.
 """
 
 from __future__ import annotations
 
-import json
 import re
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.service.errors import CorruptStateError, ServiceError
 from repro.service.manager import SessionManager
+from repro.service.protocol import error_reply, execute, render, route
 from repro.utils import (
     bind_request_id,
     configure_logging,
@@ -81,11 +42,6 @@ from repro.utils import (
 from repro.utils.metrics import PROMETHEUS_CONTENT_TYPE
 
 __all__ = ["ServiceServer", "LocalDispatcher", "make_server", "serve"]
-
-_SESSION_ROUTE = re.compile(
-    r"^/sessions/(?P<sid>[A-Za-z0-9._-]+)"
-    r"(?:/(?P<action>propose|ingest|estimate|checkpoint|history))?$"
-)
 
 _MAX_BODY_BYTES = 64 * 1024 * 1024
 
@@ -97,11 +53,12 @@ METRICS_CONTENT_TYPE = PROMETHEUS_CONTENT_TYPE
 
 
 class LocalDispatcher:
-    """In-process dispatcher: routes straight into a ``SessionManager``.
+    """In-process dispatcher: an in-process shard with no socket.
 
     Implements the dispatcher contract the HTTP layer serves —
     ``dispatch(method, path, body) -> (status, body_bytes, headers)``
-    — by calling the manager on the request thread.  Sessions
+    — by routing, executing and rendering through
+    :mod:`repro.service.protocol` on the request thread.  Sessions
     serialise on their own locks, so concurrent clients on different
     sessions run in parallel while two clients racing one session are
     safe.
@@ -122,120 +79,32 @@ class LocalDispatcher:
         # mid-execution, so it is advisory here.  ``request_id`` is the
         # trace id the HTTP front door minted (or accepted); it rides
         # the logging context, which the front door already bound.
-        status, payload, headers = self._dispatch(method, path, body)
-        self._http_requests.inc(method=method, status=str(status))
-        return status, payload, headers
-
-    def _dispatch(self, method: str, path: str, body: bytes):
-        if method == "GET" and path == "/metrics":
-            self.manager.observe_session_telemetry()
-            text = render_prometheus(self.manager.metrics.snapshot())
-            return (200, text.encode("utf-8"),
-                    {"Content-Type": METRICS_CONTENT_TYPE})
+        manager = self.manager
         try:
-            payload = self._route(method, path, body)
-        except ServiceError as exc:
-            headers = {}
-            retry_after = getattr(exc, "retry_after", None)
-            if retry_after is not None:
-                headers["Retry-After"] = f"{float(retry_after):g}"
-            return (exc.status, json.dumps({"error": str(exc)})
-                    .encode("utf-8"), headers)
-        except CorruptStateError as exc:
-            return (exc.status, json.dumps({
-                "error": str(exc), "path": exc.path, "offset": exc.offset,
-            }).encode("utf-8"), {})
-        except (ValueError, TypeError) as exc:
-            return 400, json.dumps({"error": str(exc)}).encode("utf-8"), {}
-        except KeyError as exc:
-            return (404, json.dumps({"error": f"not found: {exc}"})
-                    .encode("utf-8"), {})
-        except Exception as exc:  # pragma: no cover - last-resort guard
-            return (500, json.dumps(
-                {"error": f"{type(exc).__name__}: {exc}"}).encode("utf-8"), {})
-        return 200, json.dumps(payload).encode("utf-8"), {}
+            op, sid = route(method, path)
+            if op == "metrics":
+                manager.observe_session_telemetry()
+                text = render_prometheus(manager.metrics.snapshot())
+                reply = (200, text.encode("utf-8"),
+                         {"Content-Type": METRICS_CONTENT_TYPE})
+            elif op == "healthz":
+                reply = render(200, {
+                    "status": "ok",
+                    "resident_sessions": manager.resident_count,
+                    "capacity": manager.capacity,
+                    "wal": {"recovered": list(manager.wal_recoveries)},
+                })
+            else:
+                reply = render(200, execute(manager, op, sid, body)[0])
+        except Exception as exc:
+            reply = render(*error_reply(exc))
+        self._http_requests.inc(method=method, status=str(reply[0]))
+        return reply
 
     def close(self, *, graceful: bool = True) -> None:
         """Park every journalled session durably (server shutdown)."""
         if graceful and self.manager.root_dir is not None:
             self.manager.drain_to_disk()
-
-    # -- routing -----------------------------------------------------------
-
-    @staticmethod
-    def _parse_json(body: bytes) -> dict:
-        if not body:
-            return {}
-        try:
-            payload = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"request body is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
-
-    def _route(self, method: str, path: str, raw_body: bytes) -> dict:
-        manager = self.manager
-        if path == "/healthz" and method == "GET":
-            return {
-                "status": "ok",
-                "resident_sessions": manager.resident_count,
-                "capacity": manager.capacity,
-                "wal": {"recovered": list(manager.wal_recoveries)},
-            }
-        if path == "/sessions":
-            if method == "GET":
-                return {"sessions": manager.list_sessions()}
-            if method == "POST":
-                return self._create_session(manager, raw_body)
-            raise ValueError(f"unsupported method {method} for {path}")
-        match = _SESSION_ROUTE.match(path)
-        if not match:
-            raise KeyError(path)
-        session_id, action = match.group("sid"), match.group("action")
-        if action is None:
-            if method == "GET":
-                return manager.get(session_id).status()
-            if method == "DELETE":
-                manager.close_session(session_id)
-                return {"session_id": session_id, "closed": True}
-            raise ValueError(f"unsupported method {method} for {path}")
-        if action == "estimate" and method == "GET":
-            return manager.get(session_id).estimate_payload()
-        if action == "history" and method == "GET":
-            return manager.get(session_id).history_payload()
-        if method != "POST":
-            raise ValueError(f"unsupported method {method} for {path}")
-        body = self._parse_json(raw_body)
-        session = manager.get(session_id)
-        if action == "propose":
-            return session.propose(body.get("batch_size", 1),
-                                   idempotency_key=body.get("key"))
-        if action == "ingest":
-            if "ticket" not in body or "labels" not in body:
-                raise ValueError("ingest body needs 'ticket' and 'labels'")
-            return session.ingest(body["ticket"], body["labels"],
-                                  idempotency_key=body.get("key"))
-        if action == "checkpoint":
-            return {"session_id": session_id, "seq": session.checkpoint()}
-        raise KeyError(path)  # pragma: no cover - regex-unreachable
-
-    def _create_session(self, manager: SessionManager, raw_body: bytes) -> dict:
-        body = self._parse_json(raw_body)
-        for field in ("predictions", "scores"):
-            if field not in body:
-                raise ValueError(f"create body needs {field!r}")
-        session = manager.create_session(
-            body["predictions"],
-            body["scores"],
-            sampler=body.get("sampler", "oasis"),
-            sampler_kwargs=body.get("sampler_kwargs") or {},
-            alpha=body.get("alpha"),
-            measure=body.get("measure"),
-            seed=body.get("seed", 0),
-            session_id=body.get("session_id"),
-        )
-        return session.status()
 
 
 class ServiceServer(ThreadingHTTPServer):
@@ -305,9 +174,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch_traced(self, method: str) -> None:
         length = int(self.headers.get("Content-Length") or 0)
         if length > _MAX_BODY_BYTES:
-            self._reply(400, json.dumps(
-                {"error": f"request body exceeds {_MAX_BODY_BYTES} bytes"}
-            ).encode("utf-8"))
+            self._reply(*render(400, {
+                "error": f"request body exceeds {_MAX_BODY_BYTES} bytes"}))
             return
         body = self.rfile.read(length) if length else b""
         timeout = None
@@ -316,14 +184,13 @@ class _Handler(BaseHTTPRequestHandler):
             try:
                 timeout = float(raw_timeout)
             except ValueError:
-                self._reply(400, json.dumps(
-                    {"error": f"X-Request-Timeout is not a number: "
-                              f"{raw_timeout!r}"}).encode("utf-8"))
+                self._reply(*render(400, {
+                    "error": f"X-Request-Timeout is not a number: "
+                             f"{raw_timeout!r}"}))
                 return
             if timeout <= 0:
-                self._reply(400, json.dumps(
-                    {"error": "X-Request-Timeout must be positive"}
-                ).encode("utf-8"))
+                self._reply(*render(400, {
+                    "error": "X-Request-Timeout must be positive"}))
                 return
         status, payload, headers = self.server.dispatcher.dispatch(
             method, self.path, body, timeout,

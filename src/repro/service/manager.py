@@ -16,18 +16,16 @@ cannot evict and refuse new sessions at capacity instead.
 
 from __future__ import annotations
 
-import re
 import threading
 import time
 
 from repro.service.errors import CapacityError, SessionNotFoundError
+from repro.service.protocol import SESSION_ID_RE, check_session_id
 from repro.service.session import EvaluationSession
 from repro.service.wal import SessionWAL
 from repro.utils import MetricsRegistry, check_count, get_logger
 
 __all__ = ["SessionManager"]
-
-_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 #: How many WAL recovery records a manager retains for ``/healthz``.
 #: Recoveries are rare (one per torn-tail crash); the cap only guards
@@ -124,11 +122,8 @@ class SessionManager:
         the manager is full and nothing can be evicted.
         """
         session_id = kwargs.pop("session_id", None)
-        if session_id is not None and not _ID_RE.match(session_id):
-            raise ValueError(
-                f"session_id {session_id!r} must be 1-64 filesystem-safe "
-                "characters (letters, digits, '.', '_', '-')"
-            )
+        if session_id is not None:
+            check_session_id(session_id)
         with self._registry_lock:
             if session_id is not None and self._exists(session_id):
                 raise ValueError(f"session {session_id!r} already exists")
@@ -157,14 +152,8 @@ class SessionManager:
             return True
         return (
             self.root_dir is not None
-            and (self.root_dir / session_id / SessionManager._manifest()).is_file()
+            and (self.root_dir / session_id / SessionWAL.MANIFEST).is_file()
         )
-
-    @staticmethod
-    def _manifest() -> str:
-        from repro.service.wal import SessionWAL
-
-        return SessionWAL.MANIFEST
 
     def get(self, session_id: str) -> EvaluationSession:
         """The live session, transparently restoring an evicted one.
@@ -179,10 +168,10 @@ class SessionManager:
             if session is not None:
                 self._last_used[session_id] = time.monotonic()
                 return session
-            if self.root_dir is None or not _ID_RE.match(session_id):
+            if self.root_dir is None or not SESSION_ID_RE.match(session_id):
                 raise SessionNotFoundError(f"no session {session_id!r}")
             directory = self.root_dir / session_id
-            if not (directory / self._manifest()).is_file():
+            if not (directory / SessionWAL.MANIFEST).is_file():
                 raise SessionNotFoundError(f"no session {session_id!r}")
             load_lock = self._load_locks.setdefault(session_id,
                                                     threading.Lock())
@@ -355,7 +344,7 @@ class SessionManager:
                 for directory in sorted(self.root_dir.iterdir()):
                     if directory.name in seen or not directory.is_dir():
                         continue
-                    if (directory / self._manifest()).is_file():
+                    if (directory / SessionWAL.MANIFEST).is_file():
                         out.append({
                             "session_id": directory.name,
                             "resident": False,

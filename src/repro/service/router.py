@@ -3,10 +3,12 @@
 The router is the only process clients talk to.  It terminates HTTP
 (via :mod:`repro.service.http`), maps each session id onto a shard with
 **consistent hashing**, and proxies the request to that shard worker
-over the length-prefixed RPC of :mod:`repro.service.rpc` — forwarding
-request and response bodies *verbatim*, so the router never pays for
-JSON it does not need to understand.  Its own CPU work per request is a
-path match, a ring lookup and two frame copies.
+over the length-prefixed RPC of :mod:`repro.service.rpc`.  Routes, the
+session-id rule and the error statuses come from
+:mod:`repro.service.protocol`, the module the in-process tier uses too;
+the op itself runs in the shard.  Request bodies travel verbatim —
+the router parses one only on create, to assign or check the id it
+routes by.
 
 Pieces, bottom up:
 
@@ -24,8 +26,8 @@ Pieces, bottom up:
   sessions restore from their journals on first touch).  While a shard
   is down its requests fail fast with backpressure, never hang.
 * :class:`ShardRouter` — the HTTP dispatcher: routes, fans out
-  ``/sessions`` and ``/healthz``, and renders worker backpressure as
-  503 + ``Retry-After``.
+  ``/metrics``, ``/healthz`` and the session list, and renders worker
+  backpressure as 503 + ``Retry-After``.
 
 A sharded root is stamped with ``topology.json`` (shard count, WAL
 codec) on first start; later starts must agree — re-sharding moves
@@ -40,7 +42,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import re
 import signal
 import threading
 import time
@@ -52,6 +53,7 @@ from repro.service.errors import (
     OverloadError,
     ServiceError,
 )
+from repro.service.protocol import error_reply, parse_body, render, route
 from repro.service.rpc import recv_frame, send_frame
 from repro.service.shard import SHARD_DEFAULTS, shard_dir_name, shard_worker_main
 from repro.utils import (
@@ -72,13 +74,6 @@ __all__ = [
     "load_topology",
     "init_topology",
 ]
-
-_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
-
-_SESSION_ROUTE = re.compile(
-    r"^/sessions/(?P<sid>[A-Za-z0-9._-]+)"
-    r"(?:/(?P<action>propose|ingest|estimate|checkpoint|history))?$"
-)
 
 TOPOLOGY_FILE = "topology.json"
 
@@ -504,14 +499,15 @@ class ShardRouter:
 
     ``dispatch`` receives the already-read request (method, path, raw
     body bytes) from the HTTP front-end and returns
-    ``(status, body_bytes, extra_headers)``.  Bodies pass through to
-    and from the owning shard untouched except for session creation,
-    where the router must parse once to assign/validate the id it
-    routes by.
+    ``(status, body_bytes, extra_headers)``.  It routes with
+    :func:`~repro.service.protocol.route`, answers the tier-wide ops
+    (``/metrics``, ``/healthz``, the session list) by fanning out to
+    every shard, and forwards each session op with its body to the
+    owning shard, which runs it through
+    :func:`~repro.service.protocol.execute`.  The router parses a body
+    only on create, where it must assign or validate the id it routes
+    by.
     """
-
-    # Paths every shard answers; anything else routes by session id.
-    _ACTIONS = {"propose", "ingest", "estimate", "checkpoint", "history"}
 
     def __init__(self, supervisor: ShardSupervisor,
                  ring: HashRing | None = None):
@@ -533,15 +529,6 @@ class ShardRouter:
             "oasis_worker_restarts",
             "Times each shard worker has been restarted.", ("shard",))
 
-    def _request(self, shard: int, op: str, sid: str | None = None,
-                 body: bytes = b"", timeout: float | None = None):
-        status, payload, retry_after = self.supervisor.clients[shard].request(
-            op, sid=sid, body=body, timeout=timeout)
-        headers = {}
-        if retry_after is not None:
-            headers["Retry-After"] = f"{max(float(retry_after), 0.0):g}"
-        return status, json.dumps(payload).encode("utf-8"), headers
-
     def dispatch(self, method: str, path: str, body: bytes,
                  timeout: float | None = None, *,
                  request_id: str | None = None):
@@ -553,90 +540,61 @@ class ShardRouter:
         door's trace id) rides the shard RPC frames via the logging
         context the HTTP handler bound.
         """
-        status, payload, headers = self._dispatch_guarded(
-            method, path, body, timeout)
+        try:
+            status, payload, headers = self._dispatch(
+                method, path, body, timeout)
+        except Exception as exc:
+            status, payload, headers = render(*error_reply(exc))
         self._http_requests.inc(method=method, status=str(status))
         return status, payload, headers
 
-    def _dispatch_guarded(self, method: str, path: str, body: bytes,
-                          timeout: float | None = None):
-        try:
-            return self._dispatch(method, path, body, timeout)
-        except OverloadError as exc:
-            payload = json.dumps({"error": str(exc)}).encode("utf-8")
-            return exc.status, payload, {
-                "Retry-After": f"{exc.retry_after:g}"}
-        except ServiceError as exc:
-            payload = json.dumps({"error": str(exc)}).encode("utf-8")
-            return exc.status, payload, {}
-        except (ValueError, TypeError) as exc:
-            return 400, json.dumps({"error": str(exc)}).encode("utf-8"), {}
-        except KeyError as exc:
-            return (404, json.dumps({"error": f"not found: {exc}"})
-                    .encode("utf-8"), {})
-
     def _dispatch(self, method: str, path: str, body: bytes,
                   timeout: float | None = None):
-        if path == "/metrics" and method == "GET":
+        op, sid = route(method, path)
+        if op == "metrics":
             return self._scrape(timeout)
-        if path == "/healthz" and method == "GET":
-            shards = self.supervisor.shard_stats()
-            healthy = sum(1 for shard in shards if shard["status"] == "ok")
-            read_only = sum(
-                1 for shard in shards if shard.get("read_only"))
-            status_word = "ok" if healthy == len(shards) else "degraded"
-            if read_only:
-                status_word = "degraded"
-            recovered = [
-                {"shard": shard["shard"], **entry}
-                for shard in shards
-                for entry in (shard.get("wal_recovered") or [])
-            ]
-            payload = {
-                "status": status_word,
-                "shards": shards,
-                "resident_sessions": sum(
-                    shard.get("resident_sessions", 0) for shard in shards),
-                "queue_depth": sum(
-                    shard.get("queue_depth", 0) for shard in shards),
-                "read_only_shards": read_only,
-                "wal": {"recovered": recovered},
-            }
-            return 200, json.dumps(payload).encode("utf-8"), {}
-        if path == "/sessions":
-            if method == "GET":
-                sessions = []
-                for index in range(self.supervisor.n_shards):
-                    status, payload, _ = self.supervisor.clients[
-                        index].request("list")
-                    if status == 200:
-                        for entry in payload.get("sessions", []):
-                            entry["shard"] = index
-                            sessions.append(entry)
-                sessions.sort(key=lambda entry: entry.get("session_id", ""))
-                return (200, json.dumps({"sessions": sessions})
-                        .encode("utf-8"), {})
-            if method == "POST":
-                return self._create(body, timeout)
-            raise ValueError(f"unsupported method {method} for {path}")
-        match = _SESSION_ROUTE.match(path)
-        if not match:
-            raise KeyError(path)
-        sid, action = match.group("sid"), match.group("action")
-        shard = self.ring.shard_for(sid)
-        if action is None:
-            if method == "GET":
-                return self._request(shard, "status", sid, timeout=timeout)
-            if method == "DELETE":
-                return self._request(shard, "close", sid, timeout=timeout)
-            raise ValueError(f"unsupported method {method} for {path}")
-        if action in ("estimate", "history"):
-            if method != "GET":
-                raise ValueError(f"unsupported method {method} for {path}")
-            return self._request(shard, action, sid, timeout=timeout)
-        if method != "POST":
-            raise ValueError(f"unsupported method {method} for {path}")
-        return self._request(shard, action, sid, body, timeout=timeout)
+        if op == "healthz":
+            return render(200, self._health())
+        if op == "list":
+            return render(200, {"sessions": self._list()})
+        if op == "create":
+            sid, body = self._assign_id(body)
+        status, payload, retry_after = self.supervisor.clients[
+            self.ring.shard_for(sid)].request(
+                op, sid=sid, body=body, timeout=timeout)
+        return render(status, payload, retry_after)
+
+    def _health(self) -> dict:
+        shards = self.supervisor.shard_stats()
+        healthy = sum(1 for shard in shards if shard["status"] == "ok")
+        read_only = sum(1 for shard in shards if shard.get("read_only"))
+        recovered = [
+            {"shard": shard["shard"], **entry}
+            for shard in shards
+            for entry in (shard.get("wal_recovered") or [])
+        ]
+        return {
+            "status": ("ok" if healthy == len(shards) and not read_only
+                       else "degraded"),
+            "shards": shards,
+            "resident_sessions": sum(
+                shard.get("resident_sessions", 0) for shard in shards),
+            "queue_depth": sum(
+                shard.get("queue_depth", 0) for shard in shards),
+            "read_only_shards": read_only,
+            "wal": {"recovered": recovered},
+        }
+
+    def _list(self) -> list[dict]:
+        sessions = []
+        for index, client in enumerate(self.supervisor.clients):
+            status, payload, _ = client.request("list")
+            if status == 200:
+                for entry in payload.get("sessions", []):
+                    entry["shard"] = index
+                    sessions.append(entry)
+        sessions.sort(key=lambda entry: entry.get("session_id", ""))
+        return sessions
 
     def _scrape(self, timeout: float | None = None):
         """Fan ``/metrics`` out to every worker and merge the registries.
@@ -673,26 +631,19 @@ class ShardRouter:
         return (200, text.encode("utf-8"),
                 {"Content-Type": PROMETHEUS_CONTENT_TYPE})
 
-    def _create(self, body: bytes, timeout: float | None = None):
-        # The one place the router parses a body: creation needs the
-        # session id (assigned here if absent) to know its shard.
-        try:
-            payload = json.loads(body) if body else {}
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"request body is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        sid = payload.get("session_id")
+    @staticmethod
+    def _assign_id(body: bytes) -> tuple[str, bytes]:
+        """The id a create routes by, assigned into the body if absent.
+
+        A malformed id still routes (by its text) and is refused by the
+        owning shard, exactly as the in-process tier refuses it.
+        """
+        request = parse_body(body)
+        sid = request.get("session_id")
         if sid is None:
-            sid = uuid.uuid4().hex[:12]
-            payload["session_id"] = sid
-            body = json.dumps(payload).encode("utf-8")
-        elif not _ID_RE.match(sid):
-            raise ValueError(
-                f"session_id {sid!r} must be 1-64 filesystem-safe "
-                "characters (letters, digits, '.', '_', '-')")
-        shard = self.ring.shard_for(sid)
-        return self._request(shard, "create", sid, body, timeout=timeout)
+            request["session_id"] = sid = uuid.uuid4().hex[:12]
+            body = json.dumps(request).encode("utf-8")
+        return str(sid), body
 
     def close(self, *, graceful: bool = True) -> None:
         self.supervisor.stop(graceful=graceful)

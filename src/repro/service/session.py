@@ -28,7 +28,6 @@ re-running a logged propose re-draws the same pairs).
 
 from __future__ import annotations
 
-import errno
 import threading
 import uuid
 from collections import OrderedDict
@@ -41,6 +40,7 @@ from repro.service.errors import (
     SessionConflictError,
     SessionNotFoundError,
     StorageFullError,
+    storage_full,
 )
 from repro.service.wal import SessionWAL
 from repro.measures.ratio import measure_from_spec
@@ -56,8 +56,6 @@ MANIFEST_FORMAT_VERSION = 1
 #: to retry.  256 comfortably covers any realistic in-flight retry set —
 #: a client retries its *latest* request, not one from hundreds ago.
 DEDUP_WINDOW = 256
-
-_ENOSPC_ERRNOS = (errno.ENOSPC, errno.EDQUOT)
 
 
 def _sampler_kinds() -> dict:
@@ -104,8 +102,8 @@ class EvaluationSession:
         Identity of the session (also its directory name under a
         service root).
     sampler:
-        A sampler supporting the propose/ingest split, hosted by this
-        session and never driven synchronously.
+        The sampler hosted by this session, driven only through its
+        propose/commit split, never synchronously.
     config:
         The manifest payload describing how ``sampler`` was built.
     wal:
@@ -119,11 +117,6 @@ class EvaluationSession:
 
     def __init__(self, session_id: str, sampler, config: dict,
                  wal: SessionWAL | None = None, *, metrics=None):
-        if not sampler.supports_propose_ingest:
-            raise ValueError(
-                f"{type(sampler).__name__} does not implement the "
-                "propose/ingest split and cannot be served"
-            )
         self.session_id = session_id
         self.sampler = sampler
         self.config = config
@@ -204,9 +197,9 @@ class EvaluationSession:
         wal_factory:
             Journal constructor, ``callable(directory) -> SessionWAL``;
             defaults to the synchronous per-event :class:`SessionWAL`.
-            The shard workers pass a :class:`~repro.service.wal.GroupCommitWAL`
-            builder here (and the fault harness its instrumented
-            wrappers).
+            The shard workers pass a group-commit builder here
+            (``max_batch`` > 1), and the fault harness its instrumented
+            wrappers.
         """
         kinds = _sampler_kinds()
         if sampler not in kinds:
@@ -350,27 +343,31 @@ class EvaluationSession:
             return None
         return dict(response)
 
-    def _journal(self, kind: str, payload: dict,
-                 idempotency_key=None) -> None:
+    def _journal(self, kind: str, payload: dict, idempotency_key=None,
+                 *, flush: bool = False) -> int:
         """Append one event, mapping a full disk to backpressure.
 
         The event is journalled *before* the in-memory mutation, so an
         ``ENOSPC``/``EDQUOT`` here means the request simply did not
         happen — rendered as the retryable 503
         :class:`~repro.service.errors.StorageFullError`, never as
-        corrupted state.
+        corrupted state.  ``flush`` makes the event durable before
+        returning even under a group-commit WAL.
         """
         if idempotency_key is not None:
             payload = {**payload, "key": str(idempotency_key)}
         try:
-            self.wal.append(kind, payload)
+            seq = self.wal.append(kind, payload)
+            if flush:
+                self.wal.flush()
         except OSError as exc:
-            if exc.errno in _ENOSPC_ERRNOS:
+            if storage_full(exc):
                 raise StorageFullError(
                     f"journal volume full; session {self.session_id} "
                     f"could not log its {kind} event ({exc})"
                 ) from exc
             raise
+        return seq
 
     def propose(self, batch_size: int, *, idempotency_key=None) -> dict:
         """Propose the next batch of draws; returns the pairs to label.
@@ -564,17 +561,7 @@ class EvaluationSession:
                 payload["dedup"] = [
                     [key, response] for key, response in self._dedup.items()
                 ]
-            try:
-                seq = self.wal.append("checkpoint", payload)
-                self.wal.flush()
-            except OSError as exc:
-                if exc.errno in _ENOSPC_ERRNOS:
-                    raise StorageFullError(
-                        f"journal volume full; session {self.session_id} "
-                        f"could not checkpoint ({exc})"
-                    ) from exc
-                raise
-            return seq
+            return self._journal("checkpoint", payload, flush=True)
 
     def _encode_pending(self) -> dict | None:
         if self._pending is None:

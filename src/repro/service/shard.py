@@ -18,8 +18,10 @@ thread):
    are answered out-of-band so health stays observable under overload.
 2. The commit loop drains up to ``max_batch`` queued requests (waiting
    up to ``flush_interval`` after the first to let a group form),
-   executes them against the manager — journal events land in each
-   session's :class:`~repro.service.wal.GroupCommitWAL` buffer —
+   executes them through :func:`repro.service.protocol.execute` —
+   journal events land in each session's
+   :class:`~repro.service.wal.SessionWAL` buffer, built with
+   ``max_batch`` > 1 so appends wait for the flush —
 3. then **flushes every dirty journal once** (one data fsync + one
    directory fsync per dirty session per window, not per event),
 4. and only then sends the replies.
@@ -39,7 +41,7 @@ is the crash path the journal exists for.
 
 from __future__ import annotations
 
-import errno
+import functools
 import json
 import os
 import queue
@@ -49,14 +51,11 @@ import sys
 import threading
 import time
 
-from repro.service.errors import (
-    CorruptStateError,
-    ServiceError,
-    StorageFullError,
-)
+from repro.service.errors import storage_full
 from repro.service.manager import SessionManager
+from repro.service.protocol import error_reply, execute
 from repro.service.rpc import recv_frame, send_frame
-from repro.service.wal import GroupCommitWAL, WAL_CODECS
+from repro.service.wal import WAL_CODECS, SessionWAL
 from repro.utils import (
     MetricsRegistry,
     bind_request_id,
@@ -183,15 +182,16 @@ class _ShardState:
 
 
 def _execute(state: _ShardState, header: dict, body: bytes):
-    """Run one request.
+    """Run one request through :func:`~repro.service.protocol.execute`.
 
-    Returns ``(status, payload, dirty_session_or_None, retry_after)``;
+    The shard's own part is the read-only gate around it: mutations are
+    refused while the journal volume is full, and the first write that
+    finds it full flips the shard read-only.  Returns
+    ``(status, payload, dirty_session_or_None, retry_after)``;
     ``retry_after`` is non-None only for backpressure replies the
     router should render with a ``Retry-After`` header.
     """
-    manager = state.manager
     op = header.get("op")
-    sid = header.get("sid")
     if state.read_only and op in _MUTATING_OPS:
         state.note_overload()
         return 503, {
@@ -199,81 +199,14 @@ def _execute(state: _ShardState, header: dict, body: bytes):
                      "mutating requests are refused until it restarts"
         }, None, 5.0
     try:
-        payload = json.loads(body) if body else {}
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        if op == "create":
-            for field in ("predictions", "scores"):
-                if field not in payload:
-                    raise ValueError(f"create body needs {field!r}")
-            session = manager.create_session(
-                payload["predictions"],
-                payload["scores"],
-                sampler=payload.get("sampler", "oasis"),
-                sampler_kwargs=payload.get("sampler_kwargs") or {},
-                alpha=payload.get("alpha"),
-                measure=payload.get("measure"),
-                seed=payload.get("seed", 0),
-                session_id=payload.get("session_id") or sid,
-            )
-            return 200, session.status(), None, None
-        if op == "status":
-            return 200, manager.get(sid).status(), None, None
-        if op == "estimate":
-            return 200, manager.get(sid).estimate_payload(), None, None
-        if op == "history":
-            return 200, manager.get(sid).history_payload(), None, None
-        if op == "propose":
-            session = manager.get(sid)
-            result = session.propose(
-                payload.get("batch_size", 1),
-                idempotency_key=payload.get("key"),
-            )
-            return 200, result, session, None
-        if op == "ingest":
-            if "ticket" not in payload or "labels" not in payload:
-                raise ValueError("ingest body needs 'ticket' and 'labels'")
-            session = manager.get(sid)
-            result = session.ingest(
-                payload["ticket"], payload["labels"],
-                idempotency_key=payload.get("key"),
-            )
-            return 200, result, session, None
-        if op == "checkpoint":
-            seq = manager.get(sid).checkpoint()
-            return 200, {"session_id": sid, "seq": seq}, None, None
-        if op == "close":
-            manager.close_session(sid)
-            return 200, {"session_id": sid, "closed": True}, None, None
-        if op == "list":
-            return 200, {"sessions": manager.list_sessions()}, None, None
-        raise ValueError(f"unknown shard op {op!r}")
-    except StorageFullError as exc:
-        state.enter_read_only(exc)
-        state.note_overload()
-        return exc.status, {"error": str(exc)}, None, exc.retry_after
-    except CorruptStateError as exc:
-        return exc.status, {
-            "error": str(exc), "path": exc.path, "offset": exc.offset,
-        }, None, None
-    except ServiceError as exc:
-        return exc.status, {"error": str(exc)}, None, getattr(
-            exc, "retry_after", None)
-    except (ValueError, TypeError) as exc:
-        return 400, {"error": str(exc)}, None, None
-    except KeyError as exc:
-        return 404, {"error": f"not found: {exc}"}, None, None
-    except OSError as exc:
-        if exc.errno in (errno.ENOSPC, errno.EDQUOT):
-            # A synchronous write (manifest, per-event shard) hit a
-            # full volume.  Journal-before-mutate means the request
-            # simply did not happen; degrade to read-only.
+        payload, session = execute(state.manager, op, header.get("sid"), body)
+    except Exception as exc:
+        if storage_full(exc):
             state.enter_read_only(exc)
             state.note_overload()
-            return 503, {"error": f"journal volume full: {exc}"}, None, 5.0
-        return 500, {"error": f"{type(exc).__name__}: {exc}"}, None, None
-    except Exception as exc:  # pragma: no cover - last-resort guard
-        return 500, {"error": f"{type(exc).__name__}: {exc}"}, None, None
+        status, payload, retry_after = error_reply(exc)
+        return status, payload, None, retry_after
+    return 200, payload, session, None
 
 
 def _conn_loop(state: _ShardState, conn: _Conn) -> None:
@@ -450,27 +383,21 @@ def shard_worker_main(bootstrap, shard_dir, options: dict | None = None):
 
     plan = None
     wrap_socket = None
+    wal_class = SessionWAL
+    wal_options = {"codec": options["codec"], "metrics": registry,
+                   "max_batch": max(64, 2 * options["max_batch"])}
     if options["fault"]:
-        from repro.service.faults import (
-            FaultingSocket, FaultPlan, faulting_wal_factory,
-        )
+        from repro.service.faults import FaultingSocket, FaultingWAL, FaultPlan
 
         plan = FaultPlan.from_spec(options["fault"])
-        wal_factory = faulting_wal_factory(
-            plan, codec=options["codec"],
-            max_batch=max(64, 2 * options["max_batch"]))
+        wal_class, wal_options["plan"] = FaultingWAL, plan
         if str(options["fault"].get("stage", "")).startswith("sock:"):
             def wrap_socket(sock):  # noqa: E731 - tiny closure
                 return FaultingSocket(sock, plan)
-    else:
-        def wal_factory(directory):
-            return GroupCommitWAL(
-                directory, codec=options["codec"],
-                max_batch=max(64, 2 * options["max_batch"]),
-                metrics=registry)
 
     manager = SessionManager(
-        shard_dir, capacity=options["capacity"], wal_factory=wal_factory,
+        shard_dir, capacity=options["capacity"],
+        wal_factory=functools.partial(wal_class, **wal_options),
         metrics=registry)
     state = _ShardState(manager, options, plan)
 

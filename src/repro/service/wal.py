@@ -12,19 +12,23 @@ roll back (the directory fsync after the rename is load-bearing: on
 filesystems that journal metadata lazily, a crash between rename and
 directory sync could otherwise drop the newest shard).
 
-Two shard shapes coexist in one journal:
+One class, :class:`SessionWAL`, writes both shard shapes a journal may
+hold; its ``max_batch`` decides which:
 
 ``e<seq>-<kind>.<ext>``
-    One event per file — the synchronous write path
-    (:meth:`SessionWAL.append`): durable before the call returns.
+    One event per file.  With the default ``max_batch=1`` every
+    :meth:`SessionWAL.append` writes one of these and is durable
+    before it returns — the in-process tier's write path.
 ``b<first>-<last>.<ext>``
     A **group-commit batch**: a contiguous run of events flushed with a
-    single data fsync + a single directory fsync
-    (:class:`GroupCommitWAL`).  Batching is what takes the journalling
+    single data fsync + a single directory fsync.  With ``max_batch``
+    above 1, :meth:`SessionWAL.append` only buffers and
+    :meth:`SessionWAL.flush` writes the buffer (a lone buffered event
+    still gets an ``e`` shard).  Batching is what takes the journalling
     cost from one fsync per event to one per flush window; the price is
     the group-commit contract — an event is durable only once its batch
-    has flushed, so callers must not acknowledge it to a client before
-    :meth:`GroupCommitWAL.flush` returns.
+    has flushed, so callers (the shard workers) must not acknowledge it
+    to a client before :meth:`SessionWAL.flush` returns.
 
 ``<ext>`` is ``json`` (human-readable, the default) or ``bin`` (the
 compact binary codec in :mod:`repro.service.codec`); a journal may mix
@@ -156,6 +160,10 @@ class SessionWAL:
         Serialisation for *new* shards: ``"json"`` or ``"binary"``.
         Reading auto-detects per file, so a journal written under one
         codec restores under any.
+    max_batch:
+        Events buffered before :meth:`append` flushes by itself (≥ 1).
+        ``1`` makes every append durable on return; larger values
+        group-commit, bounding both memory and the work a flush owes.
     metrics:
         A :class:`~repro.utils.metrics.MetricsRegistry` to record
         append/fsync latency, flush batch sizes and torn-tail
@@ -165,13 +173,18 @@ class SessionWAL:
     MANIFEST = "manifest.json"
     MANIFEST_DIGEST = "manifest.crc32c"
 
-    def __init__(self, directory, *, codec: str = "json", metrics=None):
+    def __init__(self, directory, *, codec: str = "json",
+                 max_batch: int = 1, metrics=None):
         if codec not in WAL_CODECS:
             raise ValueError(
                 f"unknown WAL codec {codec!r}; choose from {WAL_CODECS}"
             )
+        if int(max_batch) < 1:
+            raise ValueError(f"max_batch must be >= 1; got {max_batch}")
         self.directory = Path(directory)
         self.codec = codec
+        self.max_batch = int(max_batch)
+        self._buffer: list[dict] = []
         registry = NULL_REGISTRY if metrics is None else metrics
         self._append_seconds = registry.histogram(
             "oasis_wal_append_seconds",
@@ -268,50 +281,48 @@ class SessionWAL:
     # -- write path --------------------------------------------------------
 
     def append(self, kind: str, payload: dict) -> int:
-        """Durably append one event; returns its sequence number.
+        """Append one event; returns its sequence number.
 
-        Synchronous: one data fsync and one directory fsync per call.
-        The event is durable when this returns.  A failed write (disk
-        full, I/O error) rolls the sequence counter back so the journal
-        never develops a gap — a gap would silently truncate every
-        later event at replay.
+        The event is buffered and, once ``max_batch`` events are
+        waiting, flushed — so with ``max_batch=1`` it is durable (one
+        data fsync and one directory fsync) when this returns, and
+        otherwise only after the next :meth:`flush`.  If that flush
+        fails (disk full, I/O error) the event is un-buffered and the
+        sequence counter rolled back: the caller's request did not
+        happen, and the journal never develops a gap — a gap would
+        silently truncate every later event at replay.
         """
-        record = self._make_record(kind, payload)
-        started = time.perf_counter()
-        try:
-            self._write_records([record])
-        except BaseException:
-            self._next_seq = record["seq"]
-            raise
-        self._append_seconds.observe(time.perf_counter() - started)
-        self._flush_events.observe(1)
+        if kind not in _EVENT_KINDS:
+            raise ValueError(f"unknown WAL event kind {kind!r}")
+        record = {"seq": self._next_seq, "kind": kind, **payload}
+        self._next_seq += 1
+        self._buffer.append(record)
+        if len(self._buffer) >= self.max_batch:
+            try:
+                self.flush()
+            except BaseException:
+                self._buffer.pop()
+                self._next_seq = record["seq"]
+                raise
         return record["seq"]
 
     def flush(self) -> int:
-        """Make every appended event durable; returns the last sequence.
-
-        A no-op here — :meth:`append` is synchronous — but part of the
-        WAL interface so callers can treat a :class:`GroupCommitWAL`
-        and a plain journal uniformly.
-        """
+        """Write all buffered events as one shard; returns the last seq."""
+        if self._buffer:
+            started = time.perf_counter()
+            self._write_records(self._buffer)
+            self._append_seconds.observe(time.perf_counter() - started)
+            self._flush_events.observe(len(self._buffer))
+            self._buffer = []
         return self._next_seq - 1
 
     @property
     def pending_events(self) -> int:
-        """Appended-but-not-yet-durable events (always 0 here)."""
-        return 0
-
-    def _make_record(self, kind: str, payload: dict) -> dict:
-        if kind not in _EVENT_KINDS:
-            raise ValueError(f"unknown WAL event kind {kind!r}")
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        return {"seq": seq, "kind": kind, **payload}
+        """Events appended but not yet durable."""
+        return len(self._buffer)
 
     def _write_records(self, records: list[dict]) -> None:
         """Write a contiguous run of records as one durable shard."""
-        if not records:
-            return
         ext = _EXTENSIONS[self.codec]
         if len(records) == 1:
             record = records[0]
@@ -364,17 +375,24 @@ class SessionWAL:
 
     # -- read path ---------------------------------------------------------
 
-    def _scan_next_seq(self) -> int:
-        last = 0
-        for path in self.event_dir.iterdir():
+    def _shards(self) -> list[tuple]:
+        """``(first_seq, last_seq, path, match, is_batch)`` per shard, by seq."""
+        shards = []
+        for path in sorted(self.event_dir.iterdir()):
             match = _EVENT_RE.match(path.name)
             if match:
-                last = max(last, int(match.group("seq")))
+                seq = int(match.group("seq"))
+                shards.append((seq, seq, path, match, False))
                 continue
             match = _BATCH_RE.match(path.name)
             if match:
-                last = max(last, int(match.group("last")))
-        return last + 1
+                shards.append((int(match.group("first")),
+                               int(match.group("last")), path, match, True))
+        shards.sort(key=lambda item: item[0])
+        return shards
+
+    def _scan_next_seq(self) -> int:
+        return max((shard[1] for shard in self._shards()), default=0) + 1
 
     def _load_shard(self, path: Path) -> dict:
         """Read, verify and decode one shard.
@@ -410,21 +428,12 @@ class SessionWAL:
         A gap in the sequence (possible only through manual deletion)
         truncates the log at the gap, because events after it no longer
         have a consistent prefix to replay onto.
-        Buffered-but-unflushed events of a :class:`GroupCommitWAL` are
-        by definition absent.
+        Buffered-but-unflushed events are by definition absent.
         """
-        shards = []
-        for path in sorted(self.event_dir.iterdir()):
-            match = _EVENT_RE.match(path.name)
-            if match:
-                shards.append((int(match.group("seq")), path, match, False))
-                continue
-            match = _BATCH_RE.match(path.name)
-            if match:
-                shards.append((int(match.group("first")), path, match, True))
-        shards.sort(key=lambda item: item[0])
+        shards = self._shards()
         found = {}
-        for position, (_, path, match, is_batch) in enumerate(shards):
+        for position, (first, last, path, match, is_batch) in enumerate(
+                shards):
             try:
                 content = self._load_shard(path)
             except _TornShard as torn:
@@ -451,15 +460,14 @@ class SessionWAL:
             if not is_batch:
                 if content.get("kind") != match.group("kind") or int(
                     content.get("seq", -1)
-                ) != int(match.group("seq")):
+                ) != first:
                     raise CorruptStateError(
                         f"WAL event {path.name} disagrees with its name",
                         path=path,
                     )
-                found[int(match.group("seq"))] = content
+                found[first] = content
                 continue
             records = content.get("records", [])
-            first, last = int(match.group("first")), int(match.group("last"))
             seqs = [int(record.get("seq", -1)) for record in records]
             if seqs != list(range(first, last + 1)):
                 raise CorruptStateError(
@@ -481,68 +489,6 @@ class SessionWAL:
         return out
 
 
-class GroupCommitWAL(SessionWAL):
-    """A journal that batches events and fsyncs once per flush.
-
-    :meth:`append` only buffers (and assigns the sequence number);
-    :meth:`flush` writes the whole buffer as one batch shard with a
-    single data fsync and a single directory fsync.  The buffer also
-    self-flushes when it reaches ``max_batch`` events, bounding both
-    memory and the amount of work a flush can owe.
-
-    The durability contract shifts accordingly: an event is durable
-    only once the flush covering it has returned.  Callers that
-    acknowledge events to clients — the shard worker — must flush
-    first and acknowledge after; events buffered at a crash are lost,
-    which is exactly the "may lose only un-acked events" group-commit
-    guarantee.
-
-    Parameters
-    ----------
-    directory, codec:
-        As for :class:`SessionWAL`.
-    max_batch:
-        Self-flush threshold in events (≥ 1).
-    """
-
-    def __init__(self, directory, *, codec: str = "json",
-                 max_batch: int = 32, metrics=None):
-        if int(max_batch) < 1:
-            raise ValueError(f"max_batch must be >= 1; got {max_batch}")
-        super().__init__(directory, codec=codec, metrics=metrics)
-        self.max_batch = int(max_batch)
-        self._buffer: list[dict] = []
-
-    def append(self, kind: str, payload: dict) -> int:
-        """Buffer one event; durable only after the next :meth:`flush`.
-
-        If the append triggers a self-flush and that flush fails, the
-        event is un-buffered and the sequence counter rolled back: the
-        caller's request did not happen, and the journal must not later
-        flush an event whose in-memory half never ran.
-        """
-        record = self._make_record(kind, payload)
-        self._buffer.append(record)
-        if len(self._buffer) >= self.max_batch:
-            try:
-                self.flush()
-            except BaseException:
-                self._buffer.pop()
-                self._next_seq = record["seq"]
-                raise
-        return record["seq"]
-
-    def flush(self) -> int:
-        """Write all buffered events as one batch shard; returns last seq."""
-        if self._buffer:
-            started = time.perf_counter()
-            self._write_records(self._buffer)
-            self._append_seconds.observe(time.perf_counter() - started)
-            self._flush_events.observe(len(self._buffer))
-            self._buffer = []
-        return self._next_seq - 1
-
-    @property
-    def pending_events(self) -> int:
-        """Events appended but not yet durable."""
-        return len(self._buffer)
+#: The group-commit spelling of :class:`SessionWAL`, for builders that
+#: always pass ``max_batch``.
+GroupCommitWAL = SessionWAL

@@ -81,6 +81,12 @@ def test_every_public_oracle_is_documented():
         assert name in documented, f"oracle {name} missing from API reference"
 
 
+def test_service_protocol_is_documented():
+    # The one module both serving tiers share; its docstring carries
+    # the route table, so the API page renders the whole module.
+    assert _autodoc_targets().get("repro.service.protocol") == "service.md"
+
+
 def test_baseline_samplers_have_parameter_docstrings():
     """The docstring pass: every baseline documents its parameters."""
     from repro.samplers import (
